@@ -33,7 +33,8 @@ let () =
   if not r_cap.Explorer.truncated then fail "key-3 clipped exploration should truncate";
   if r_cap.Explorer.evictions = 0 then fail "key-3 with memo_cap 64 evicted nothing";
   let small () = Scenario.ext_shadow_contested3 ~victim_repeat:1 ~tenant_repeat:1 () in
-  let r_seq = explore (small ()) in
+  let s_seq = small () in
+  let r_seq = explore s_seq in
   let r_par = explore ~jobs:2 (small ()) in
   if r_seq.Explorer.truncated then fail "ext-shadow-3 (small) truncated";
   if r_par.Explorer.paths <> r_seq.Explorer.paths then
@@ -43,8 +44,17 @@ let () =
     List.map snd r_par.Explorer.violations <> List.map snd r_seq.Explorer.violations
     || r_par.Explorer.stuck_legs <> r_seq.Explorer.stuck_legs
   then fail "ext-shadow-3 jobs=2 diverged from the sequential run";
+  (* page digests are kept current on the write paths, so a memo key
+     hashes a few tokens per dirty page, never the page itself *)
+  let nodes = r_seq.Explorer.states_visited + r_seq.Explorer.dedup_hits in
+  let per_node = r_seq.Explorer.bytes_hashed / max 1 nodes in
+  if per_node >= 4096 then
+    fail "ext-shadow-3 hashed %d bytes per node: a full page digest is back on the key path"
+      per_node;
+  let fills = Uldma_mem.Phys_mem.digest_fills (Uldma_os.Kernel.ram s_seq.Scenario.kernel) in
+  if fills <> 0 then fail "ext-shadow-3 root RAM hashed %d whole pages" fills;
   Printf.printf
     "bench-smoke ok: fig5 %d schedules, ext-shadow %.2f us/initiation, key-3 clipped with %d \
-     evictions, ext-shadow-3 %d schedules (jobs=2, %d steals)\n"
+     evictions, ext-shadow-3 %d schedules (jobs=2, %d steals, %d B hashed per node)\n"
     r.Explorer.paths m.Uldma_sim.Measure.us_per_initiation r_cap.Explorer.evictions
-    r_seq.Explorer.paths r_par.Explorer.steals
+    r_seq.Explorer.paths r_par.Explorer.steals per_node

@@ -169,11 +169,8 @@ let apply t ~dst ~origin (p : Netif.packet) =
   end
   else begin
     let local = p.Netif.dst_paddr land local_mask in
-    let len = Bytes.length p.Netif.payload in
-    for i = 0 to len - 1 do
-      Phys_mem.store_byte ram (local + i) (Char.code (Bytes.get p.Netif.payload i))
-    done;
-    t.write_bytes_into.(dst) <- t.write_bytes_into.(dst) + len
+    Phys_mem.write_bytes ram ~addr:local p.Netif.payload;
+    t.write_bytes_into.(dst) <- t.write_bytes_into.(dst) + Bytes.length p.Netif.payload
   end;
   t.packets_into.(dst) <- t.packets_into.(dst) + 1;
   t.last_arrival <- max t.last_arrival p.Netif.arrive_at

@@ -12,7 +12,12 @@
    [copy] clears the flag on both sides — a page can only regain
    ownership by being re-copied on the next write. This over-copies in
    the rare case where every other sharer has already faulted the page
-   in, but it never aliases a mutation. *)
+   in, but it never aliases a mutation.
+
+   Each page also carries its two-lane {!Uldma_util.Fp128.digest},
+   kept current by every write path (see [write_span]). A shared page
+   is immutable, so [copy] just copies the lane arrays, and the state
+   key never hashes a page. *)
 
 module Iset = Set.Make (Int)
 
@@ -26,16 +31,8 @@ type t = {
          state hashing only needs to visit [touched] — O(dirtied), not
          O(RAM). Persistent set: sharing it with a copy is safe because
          each side grows its own version. *)
-  dg_lo : int array; (* cached per-page content digests (two Fp128 lanes) *)
+  dg_lo : int array; (* dg_lo/hi.(i): Fp128.digest of pages.(i), always current *)
   dg_hi : int array;
-  dg_ok : bool array;
-      (* dg_ok.(i): dg_lo/hi.(i) hold the digest of pages.(i)'s current
-         content. Under COW a shared page is immutable, so the cache
-         survives [copy] on both sides and is invalidated only when
-         [page_rw] hands out a writable view. *)
-  mutable digest_fills : int;
-      (* number of times a page was actually hashed to (re)fill the
-         cache — the zero-page shortcut and cache hits don't count. *)
 }
 
 exception Fault of int
@@ -56,10 +53,9 @@ let create ~size =
     pages = Array.make n zero_page;
     owned = Array.make n false;
     touched = Iset.empty;
+    (* the zero page digests to (0, 0) *)
     dg_lo = Array.make n 0;
     dg_hi = Array.make n 0;
-    dg_ok = Array.make n false;
-    digest_fills = 0;
   }
 
 let size t = t.size
@@ -71,12 +67,8 @@ let copy t =
     pages = Array.copy t.pages;
     owned = Array.make (Array.length t.pages) false;
     touched = t.touched;
-    (* Shared pages are immutable, so their cached digests stay valid on
-       both sides of the copy. *)
     dg_lo = Array.copy t.dg_lo;
     dg_hi = Array.copy t.dg_hi;
-    dg_ok = Array.copy t.dg_ok;
-    digest_fills = 0;
   }
 
 let page_count t = Array.length t.pages
@@ -91,7 +83,6 @@ let owned_pages t =
    ever set below, right after the [Iset.add]), so an already-owned page
    skips the persistent-set insertion entirely. *)
 let page_rw t i =
-  t.dg_ok.(i) <- false;
   if t.owned.(i) then t.pages.(i)
   else begin
     t.touched <- Iset.add i t.touched;
@@ -100,6 +91,29 @@ let page_rw t i =
     t.owned.(i) <- true;
     fresh
   end
+
+(* Add [sign] (+1 or -1) times the digest terms of every word that
+   overlaps bytes [off, off+len) of page [i] to the page's lanes. *)
+let adjust_digest t i page off len sign =
+  let a = ref t.dg_lo.(i) and b = ref t.dg_hi.(i) in
+  let w = ref (off land lnot (Layout.word_size - 1)) in
+  while !w < off + len do
+    a := !a + (sign * Uldma_util.Fp128.word_term_a page !w);
+    b := !b + (sign * Uldma_util.Fp128.word_term_b page !w);
+    w := !w + Layout.word_size
+  done;
+  t.dg_lo.(i) <- !a;
+  t.dg_hi.(i) <- !b
+
+(* Apply [write], which changes only bytes [off, off+len), to a
+   writable view of page [i]. The covered words' old digest terms come
+   out before it and their new terms go in after it, so the lanes track
+   the content in O(words written). *)
+let write_span t i off len write =
+  let page = page_rw t i in
+  adjust_digest t i page off len (-1);
+  write page;
+  adjust_digest t i page off len 1
 
 let check t addr len =
   if addr < 0 || len < 0 || addr + len > t.size then raise (Fault addr)
@@ -117,10 +131,9 @@ let load_word t addr =
 
 let store_word t addr value =
   check_word t addr;
-  Bytes.set_int64_le
-    (page_rw t (addr lsr Layout.page_shift))
-    (addr land (Layout.page_size - 1))
-    (Int64.of_int value)
+  let off = addr land (Layout.page_size - 1) in
+  write_span t (addr lsr Layout.page_shift) off Layout.word_size (fun page ->
+      Bytes.set_int64_le page off (Int64.of_int value))
 
 let load_byte t addr =
   check t addr 1;
@@ -128,10 +141,9 @@ let load_byte t addr =
 
 let store_byte t addr value =
   check t addr 1;
-  Bytes.set
-    (page_rw t (addr lsr Layout.page_shift))
-    (addr land (Layout.page_size - 1))
-    (Char.chr (value land 0xff))
+  let off = addr land (Layout.page_size - 1) in
+  write_span t (addr lsr Layout.page_shift) off 1 (fun page ->
+      Bytes.set page off (Char.chr (value land 0xff)))
 
 (* Apply [f page_index offset_in_page position_in_range span_len] to
    each maximal single-page span of [addr, addr+len). Bounds must have
@@ -147,6 +159,12 @@ let iter_spans addr len f =
     pos := !pos + span
   done
 
+let write_bytes t ~addr data =
+  let len = Bytes.length data in
+  check t addr len;
+  iter_spans addr len (fun i off pos span ->
+      write_span t i off span (fun page -> Bytes.blit data pos page off span))
+
 let blit t ~src ~dst ~len =
   check t src len;
   check t dst len;
@@ -156,7 +174,7 @@ let blit t ~src ~dst ~len =
        up. *)
     let tmp = Bytes.create len in
     iter_spans src len (fun i off pos span -> Bytes.blit t.pages.(i) off tmp pos span);
-    iter_spans dst len (fun i off pos span -> Bytes.blit tmp pos (page_rw t i) off span)
+    write_bytes t ~addr:dst tmp
   end
 
 let fill t ~addr ~len ~byte =
@@ -169,10 +187,11 @@ let fill t ~addr ~len ~byte =
            cheap under copy-on-write). *)
         t.pages.(i) <- zero_page;
         t.owned.(i) <- false;
-        t.dg_ok.(i) <- false;
+        t.dg_lo.(i) <- 0;
+        t.dg_hi.(i) <- 0;
         t.touched <- Iset.add i t.touched
       end
-      else Bytes.fill (page_rw t i) off span c)
+      else write_span t i off span (fun page -> Bytes.fill page off span c))
 
 let checksum t ~addr ~len =
   check t addr len;
@@ -185,26 +204,11 @@ let checksum t ~addr ~len =
       done);
   !acc
 
-(* Digest of the canonical zero page, computed at most once per run. *)
-let zero_digest = lazy (Uldma_util.Fp128.digest zero_page)
+let page_digest t i = (t.dg_lo.(i), t.dg_hi.(i))
 
-let page_digest t i =
-  if t.dg_ok.(i) then (t.dg_lo.(i), t.dg_hi.(i))
-  else begin
-    let ((lo, hi) as d) =
-      if t.pages.(i) == zero_page then Lazy.force zero_digest
-      else begin
-        t.digest_fills <- t.digest_fills + 1;
-        Uldma_util.Fp128.digest t.pages.(i)
-      end
-    in
-    t.dg_lo.(i) <- lo;
-    t.dg_hi.(i) <- hi;
-    t.dg_ok.(i) <- true;
-    d
-  end
-
-let digest_fills t = t.digest_fills
+(* The write paths keep every digest current, so no page is ever hashed
+   whole. *)
+let digest_fills _ = 0
 
 let touched_count t = Iset.cardinal t.touched
 

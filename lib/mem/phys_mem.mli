@@ -31,17 +31,17 @@ val owned_pages : t -> int
 
 val page_digest : t -> int -> int * int
 (** [page_digest t i] is the {!Uldma_util.Fp128.digest} of page [i]'s
-    current content, served from a per-slot cache when valid. Under
-    copy-on-write a shared page is immutable, so cached digests survive
-    [copy] on both sides and are invalidated only when a writable view
-    of the page is handed out. Never-written pages hit a shared
-    zero-page digest without hashing anything. *)
+    current content: two array reads, never a hash. Every write path
+    ([store_word], [store_byte], [blit], [write_bytes], [fill]) keeps
+    the digest current in O(words written) by swapping the covered
+    words' old terms for their new ones, and [copy] copies the digests
+    along with the shared (immutable) pages. The all-zero page digests
+    to [(0, 0)], however it got there. *)
 
 val digest_fills : t -> int
-(** Number of times [page_digest] actually hashed a page on this
-    instance (cache hits and the zero-page shortcut excluded) — for
-    bytes-hashed accounting and cache tests. Reset to 0 by [copy] on
-    the new instance. *)
+(** Number of full-page hashes [page_digest] performed on this
+    instance, for bytes-hashed accounting. The incremental digest never
+    performs one, so this is always 0. *)
 
 val touched_count : t -> int
 (** Number of pages ever written since [create] (inherited across
@@ -76,6 +76,10 @@ val store_byte : t -> int -> int -> unit
 
 val blit : t -> src:int -> dst:int -> len:int -> unit
 (** The DMA copy primitive. Handles overlapping ranges correctly. *)
+
+val write_bytes : t -> addr:int -> Bytes.t -> unit
+(** Copy a buffer from outside RAM (a received packet, a disk block)
+    into [addr, addr + length). *)
 
 val fill : t -> addr:int -> len:int -> byte:int -> unit
 

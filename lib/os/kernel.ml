@@ -601,9 +601,7 @@ let sys_disk_impl t (p : Process.t) ~write =
         else
           match Uldma_io.Disk.read_block disk ~block with
           | Ok (data, time) ->
-            for i = 0 to block_size - 1 do
-              Phys_mem.store_byte t.ram (paddr + i) (Char.code (Bytes.get data i))
-            done;
+            Phys_mem.write_bytes t.ram ~addr:paddr data;
             Ok time
           | Error message -> Error message
       in
@@ -898,7 +896,7 @@ let encode_state enc ?relative_to t =
   Engine.encode enc t.engine;
   ch 'R';
   (* Text mode embeds the raw page bytes (the key *is* the state);
-     fingerprint mode feeds the cached per-page content digest instead
+     fingerprint mode feeds the per-page content digest instead
      — equal bytes give equal digests, so both modes observe the same
      page partition. *)
   let add_page =
@@ -925,9 +923,9 @@ let state_encoding ?relative_to t =
 
 (* Memo key for the explorer. Fingerprint mode streams the same token
    walk into a two-lane 126-bit hash and returns its 16-byte packed key
-   — nothing is materialised, page content is folded in via cached
-   digests — and reports how many bytes were actually hashed (streamed
-   tokens plus any page-digest cache fills). Paranoid mode returns the
+   — nothing is materialised, page content is folded in via the
+   digests the write paths keep current, so no page is hashed here —
+   and reports how many bytes were streamed. Paranoid mode returns the
    full textual encoding, under which key equality is exactly state
    equality. *)
 let state_key ?relative_to ~paranoid t =
@@ -936,11 +934,9 @@ let state_key ?relative_to ~paranoid t =
     (s, String.length s)
   end
   else begin
-    let fills0 = Phys_mem.digest_fills t.ram in
     let fp = Uldma_util.Fp128.create () in
     encode_state (Uldma_util.Enc.Fp fp) ?relative_to t;
-    let filled = Phys_mem.digest_fills t.ram - fills0 in
-    (Uldma_util.Fp128.key fp, Uldma_util.Fp128.fed fp + (filled * Layout.page_size))
+    (Uldma_util.Fp128.key fp, Uldma_util.Fp128.fed fp)
   end
 
 (* FNV-1a over the canonical encoding. The 64-bit hash is for shard

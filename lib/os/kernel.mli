@@ -126,8 +126,9 @@ val state_key : ?relative_to:t -> paranoid:bool -> t -> string * int
     the same token walk as [state_encoding] is streamed into a two-lane
     126-bit fingerprint ({!Uldma_util.Fp128}) and the 16-byte packed
     key is returned — no encoding string is materialised, and RAM pages
-    are folded in via cached per-page digests ({!Phys_mem.page_digest})
-    so an unchanged page costs two ints instead of a page-size hash.
+    are folded in via their incrementally maintained digests
+    ({!Phys_mem.page_digest}), so a page costs two ints instead of a
+    page-size hash.
     Two states with equal encodings always get equal keys; distinct
     states collide only if both 63-bit lanes collide (~2^-126 —
     [tools/diff_explore] checks fingerprint runs against paranoid runs

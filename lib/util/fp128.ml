@@ -111,7 +111,46 @@ let key t =
   let lo, hi = lanes t in
   key_of_lanes lo hi
 
+(* Position-keyed additive page digest. A block digests to the sum, on
+   each lane, of one term per aligned 8-byte word. Lane a's term is the
+   word's low 63 bits times an odd multiplier keyed by the word's byte
+   offset, avalanched; lane b's is the same for the word's high 63 bits
+   with its own offset key and splitmix64-style constants, so the lanes
+   are decorrelated and together see all 64 bits. Both steps are
+   bijections, so for each offset a term is 0 exactly for a zero word
+   (an all-zero block digests to (0, 0)) and a word that changes always
+   changes at least one of its two terms. Because the digest is a sum,
+   a writer keeps it current by subtracting the old terms of the words
+   it covers and adding the new ones: O(words written), never a
+   rehash. *)
+
+let offset_a = 0x2f1b4a3c58d7e693
+let offset_b = 0x1d8e4e27c47d124f
+let avalanche_b1 = 0x3f58476d1ce4e5b9 (* splitmix64 constants, < 2^62 *)
+let avalanche_b2 = 0x14d049bb133111eb
+
+let[@inline] fmix_b h =
+  let h = h lxor (h lsr 30) in
+  let h = h * avalanche_b1 in
+  let h = h lxor (h lsr 27) in
+  let h = h * avalanche_b2 in
+  h lxor (h lsr 31)
+
+(* [off] is a multiple of 8, so distinct offsets get distinct odd keys *)
+let[@inline] word_term_a b off =
+  fmix (Int64.to_int (Bytes.get_int64_le b off) * ((off * offset_a) lor 1))
+
+let[@inline] word_term_b b off =
+  fmix_b
+    (Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le b off) 1)
+    * ((off * offset_b) lor 1))
+
 let digest b =
-  let t = create () in
-  feed_raw t b 0 (Bytes.length b);
-  lanes t
+  let a = ref 0 and bb = ref 0 in
+  let off = ref 0 in
+  while !off + 8 <= Bytes.length b do
+    a := !a + word_term_a b !off;
+    bb := !bb + word_term_b b !off;
+    off := !off + 8
+  done;
+  (!a, !bb)

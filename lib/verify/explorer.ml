@@ -768,16 +768,18 @@ let explore ~root ~pids ?baseline ?(max_instructions_per_leg = 2000) ?(max_paths
     ?(memo_key = "default") ?(memo_net = "null") ?shared ?key_tag ?(cutoff = default_cutoff)
     ?(merge_batch = local_merge_forced) ~check () =
   let jobs = max 1 jobs in
-  let root_fp = Kernel.fingerprint root in
   (* The persistent cache stores undecorated fingerprint keys (Persist
      schema 3); paranoid string keys live in a different key space, and
      a campaign's decorated keys are only meaningful inside its own
      shared table — so neither loads nor saves the disk cache. *)
   let persist_on = dedup && (not paranoid_memo) && Option.is_none shared in
+  (* the root guard is a full textual encoding: compute it only for the
+     disk cache that checks it *)
+  let root_fp = lazy (Kernel.fingerprint root) in
   let persist_base =
     match memo_file with
     | Some file when persist_on ->
-      Memo.Persist.load ~file ~scenario:memo_key ~net:memo_net ~root:root_fp
+      Memo.Persist.load ~file ~scenario:memo_key ~net:memo_net ~root:(Lazy.force root_fp)
     | Some _ | None -> None
   in
   let memo =
@@ -856,7 +858,7 @@ let explore ~root ~pids ?baseline ?(max_instructions_per_leg = 2000) ?(max_paths
     Memo.iter memo (fun e s ->
         if s.s_violations = [] then
           safe := (e, { Memo.Persist.p_paths = s.s_paths; p_stuck = s.s_stuck }) :: !safe);
-    Memo.Persist.save ~file ~scenario:memo_key ~net:memo_net ~root:root_fp !safe
+    Memo.Persist.save ~file ~scenario:memo_key ~net:memo_net ~root:(Lazy.force root_fp) !safe
   | Some _ | None -> ());
   let counters = Uldma_obs.Counters.create () in
   Array.iteri

@@ -147,8 +147,9 @@ type 'v result = {
           and width-1 chains pay none. *)
   bytes_hashed : int;
       (** bytes fed into memo-key computation: streamed walk tokens
-          plus page-digest cache fills in fingerprint mode, full
-          encoding lengths in [paranoid_memo] mode. The per-node ratio
+          in fingerprint mode (a page costs its index and two digest
+          lanes, never its bytes), full encoding lengths in
+          [paranoid_memo] mode. The per-node ratio
           is the bench's [bytes_hashed_per_node]. *)
   counters : Uldma_obs.Counters.t;
       (** per-domain observability: [explorer.d<i>.steals],

@@ -286,52 +286,95 @@ let test_mem_cow_blit_fill_across_pages () =
   checki "zeroed" 0 (Phys_mem.load_byte snap dst);
   checki "parent still untouched" 0 (Phys_mem.load_byte m dst)
 
-(* --- per-page digest cache --- *)
+(* --- incremental page digests --- *)
 
-let test_mem_digest_cache () =
+let test_mem_page_digest () =
   let m = mem () in
-  (* untouched pages share the zero-page digest without hashing *)
   let z0 = Phys_mem.page_digest m 0 in
-  checkb "all zero pages digest equal" true (Phys_mem.page_digest m 1 = z0);
-  checki "zero-page shortcut hashes nothing" 0 (Phys_mem.digest_fills m);
-  (* a write invalidates: the next digest is recomputed and differs *)
+  checkb "the zero page digests to (0, 0)" true (z0 = (0, 0));
+  checkb "all zero pages share one digest" true (Phys_mem.page_digest m 1 = z0);
   Phys_mem.store_word m 0 0x1234;
   let d1 = Phys_mem.page_digest m 0 in
-  checkb "digest changed by write" true (d1 <> z0);
-  checki "one real hash" 1 (Phys_mem.digest_fills m);
-  checkb "cache hit returns same digest" true (Phys_mem.page_digest m 0 = d1);
-  checki "cache hit costs no fill" 1 (Phys_mem.digest_fills m);
-  (* writing a page again invalidates its slot even when already owned *)
-  Phys_mem.store_word m 8 0x9abc;
-  let d1' = Phys_mem.page_digest m 0 in
-  checkb "second write changes the digest" true (d1' <> d1);
-  checki "and costs one more hash" 2 (Phys_mem.digest_fills m)
-
-let test_mem_digest_cache_survives_copy () =
-  let m = mem () in
-  Phys_mem.store_word m 0 0x1234;
-  let d1 = Phys_mem.page_digest m 0 in
-  (* a COW child reuses the shared page's cached digest for free *)
-  let child = Phys_mem.copy m in
-  checkb "child reuses parent's cached digest" true (Phys_mem.page_digest child 0 = d1);
-  checki "child hashed nothing" 0 (Phys_mem.digest_fills child);
-  (* writing the child invalidates only the child's slot *)
-  Phys_mem.store_word child 0 0x5678;
-  let d2 = Phys_mem.page_digest child 0 in
-  checkb "child digest diverged" true (d2 <> d1);
-  checki "child paid one hash" 1 (Phys_mem.digest_fills child);
-  checkb "parent digest untouched" true (Phys_mem.page_digest m 0 = d1);
-  checki "parent paid nothing extra" 1 (Phys_mem.digest_fills m);
+  checkb "a write changes the digest" true (d1 <> z0);
   (* digests are content digests: an independent instance with the same
-     bytes agrees *)
+     bytes agrees, whatever writes produced them *)
   let other = mem () in
+  Phys_mem.fill other ~addr:0 ~len:16 ~byte:0xff;
+  Phys_mem.store_word other 8 0;
   Phys_mem.store_word other 0 0x1234;
-  checkb "content-equal pages digest equal" true (Phys_mem.page_digest other 0 = d1);
-  (* a whole-page zero fill re-shares the zero page and its digest *)
-  let z0 = Phys_mem.page_digest other 1 in
-  Phys_mem.fill child ~addr:0 ~len:Layout.page_size ~byte:0;
-  checkb "zero-filled page back to the zero digest" true (Phys_mem.page_digest child 0 = z0);
-  checki "via the shortcut, not a hash" 1 (Phys_mem.digest_fills child)
+  checkb "content-equal independent instances agree" true (Phys_mem.page_digest other 0 = d1);
+  (* zeroing a page, whole or in parts, returns it to the zero digest *)
+  Phys_mem.fill m ~addr:0 ~len:Layout.page_size ~byte:0;
+  checkb "whole-page zero fill: zero digest" true (Phys_mem.page_digest m 0 = z0);
+  Phys_mem.store_word other 0 0;
+  checkb "zeroed word by word: zero digest" true (Phys_mem.page_digest other 0 = z0);
+  checki "no page was ever hashed whole" 0 (Phys_mem.digest_fills m + Phys_mem.digest_fills other)
+
+(* Random write streams over a few pages — word and byte stores,
+   overlapping and page-straddling blits, buffer writes, partial and
+   whole-page fills
+   (zero fills re-share the zero page) — with a [copy] taken partway
+   and both sides written afterwards. Every page's maintained digest
+   must equal a from-scratch digest of its bytes on parent and child. *)
+let mem_incremental_digest_matches_scratch =
+  let pages = 4 in
+  let size = pages * Layout.page_size in
+  (* bias addresses towards page boundaries so spans straddle them *)
+  let gen_addr =
+    QCheck2.Gen.(
+      oneof
+        [
+          int_range 0 (size - 1);
+          map2
+            (fun p d -> max 0 ((p * Layout.page_size) - d))
+            (int_range 1 (pages - 1))
+            (int_range 0 64);
+        ])
+  in
+  let gen_op =
+    QCheck2.Gen.(
+      quad (int_range 0 5) gen_addr gen_addr (pair (int_range 0 (3 * Layout.page_size)) int))
+  in
+  let apply mem (kind, a, b, (len, v)) =
+    match kind with
+    | 0 -> Phys_mem.store_byte mem a v
+    | 1 -> Phys_mem.store_word mem (a land lnot 7) v
+    | 2 ->
+      let len = min (size - a) (1 + (len mod 600)) in
+      Phys_mem.fill mem ~addr:a ~len ~byte:(if v land 1 = 0 then 0 else v)
+    | 3 ->
+      let len = min (size - max a b) len in
+      Phys_mem.blit mem ~src:a ~dst:b ~len
+    | 4 ->
+      let len = min (size - a) (1 + (len mod 600)) in
+      Phys_mem.write_bytes mem ~addr:a (Bytes.init len (fun j -> Char.chr ((v + j) land 0xff)))
+    | _ ->
+      Phys_mem.fill mem
+        ~addr:(a / Layout.page_size * Layout.page_size)
+        ~len:Layout.page_size
+        ~byte:(if v land 1 = 0 then 0 else v)
+  in
+  let digests_match mem =
+    let ok = ref true in
+    for i = 0 to Phys_mem.page_count mem - 1 do
+      let page = Bytes.create Layout.page_size in
+      for j = 0 to Layout.page_size - 1 do
+        Bytes.set page j (Char.chr (Phys_mem.load_byte mem ((i * Layout.page_size) + j)))
+      done;
+      if Phys_mem.page_digest mem i <> Uldma_util.Fp128.digest page then ok := false
+    done;
+    !ok && Phys_mem.digest_fills mem = 0
+  in
+  let ops = QCheck2.Gen.(list_size (int_range 0 25) gen_op) in
+  qtest ~count:100 "phys_mem: incremental digest matches from-scratch digest"
+    QCheck2.Gen.(triple ops ops ops)
+    (fun (before, parent_after, child_after) ->
+      let m = Phys_mem.create ~size in
+      List.iter (apply m) before;
+      let child = Phys_mem.copy m in
+      List.iter (apply child) child_after;
+      List.iter (apply m) parent_after;
+      digests_match m && digests_match child)
 
 (* A random op script applied identically to a COW Phys_mem and to an
    eager Bytes oracle, with a snapshot taken mid-script: afterwards the
@@ -347,7 +390,7 @@ let mem_cow_matches_eager_oracle =
   let apply_op mem oracle (kind, a, b, len) =
     let addr = a mod (size - 512) in
     let len = 1 + (len mod 500) in
-    match kind mod 4 with
+    match kind mod 5 with
     | 0 ->
       Phys_mem.store_byte mem addr (b land 0xff);
       Bytes.set oracle addr (Char.chr (b land 0xff))
@@ -358,6 +401,10 @@ let mem_cow_matches_eager_oracle =
     | 2 ->
       Phys_mem.fill mem ~addr ~len ~byte:(b land 0xff);
       Bytes.fill oracle addr len (Char.chr (b land 0xff))
+    | 3 ->
+      let data = Bytes.init len (fun j -> Char.chr ((b + j) land 0xff)) in
+      Phys_mem.write_bytes mem ~addr data;
+      Bytes.blit data 0 oracle addr len
     | _ ->
       let dst = b mod (size - 512) in
       Phys_mem.blit mem ~src:addr ~dst ~len;
@@ -365,7 +412,7 @@ let mem_cow_matches_eager_oracle =
       Bytes.blit tmp 0 oracle dst len
   in
   let gen_op =
-    QCheck2.Gen.(quad (int_range 0 3) (int_range 0 (size - 1)) (int_range 0 max_int) nat)
+    QCheck2.Gen.(quad (int_range 0 4) (int_range 0 (size - 1)) (int_range 0 max_int) nat)
   in
   qtest ~count:50 "phys_mem: COW snapshot matches eager-copy oracle"
     QCheck2.Gen.(pair (list_size (int_range 0 30) gen_op) (list_size (int_range 0 30) gen_op))
@@ -439,12 +486,11 @@ let () =
           Alcotest.test_case "cow sibling isolation" `Quick test_mem_cow_siblings;
           Alcotest.test_case "cow blit/fill across pages" `Quick
             test_mem_cow_blit_fill_across_pages;
-          Alcotest.test_case "digest cache invalidation" `Quick test_mem_digest_cache;
-          Alcotest.test_case "digest cache survives copy" `Quick
-            test_mem_digest_cache_survives_copy;
+          Alcotest.test_case "page digest" `Quick test_mem_page_digest;
           Alcotest.test_case "touched-page tracking" `Quick test_mem_touched_tracking;
           Alcotest.test_case "iter_diverged" `Quick test_mem_iter_diverged;
           mem_cow_matches_eager_oracle;
+          mem_incremental_digest_matches_scratch;
           mem_word_roundtrip_prop;
           mem_blit_preserves_content;
         ] );

@@ -317,6 +317,56 @@ let test_fp128_truncated_collision_power () =
     true
     (distinct > 2200 && distinct < 2950)
 
+(* The same meta-check on the additive page digest: 4096 random sparse
+   pages — two to five small nonzero words at random offsets, like a
+   page a transfer or a store has dirtied — must all digest apart at
+   full width, and one lane truncated to 12 bits must land in the same
+   birthday band. Small words give the check power: a term that did not
+   mix its word (a plain sum of words stays below 2^11 here) would
+   cluster the truncated sums. *)
+let test_fp128_page_digest_collision_power () =
+  let rng = Rng.create ~seed:0xd16e57 in
+  let n = 4096 and page_size = 8192 in
+  let contents = Hashtbl.create n and full = Hashtbl.create n and trunc = Hashtbl.create n in
+  for _ = 1 to n do
+    let page = Bytes.make page_size '\000' in
+    for _ = 0 to 1 + Rng.int rng 4 do
+      Bytes.set_int64_le page (8 * Rng.int rng (page_size / 8)) (Int64.of_int (1 + Rng.int rng 255))
+    done;
+    let ((lo, _) as d) = Fp128.digest page in
+    Hashtbl.replace contents (Bytes.to_string page) ();
+    Hashtbl.replace full d ();
+    Hashtbl.replace trunc (lo land 0xfff) ()
+  done;
+  checki "4096 distinct pages drawn" n (Hashtbl.length contents);
+  checki "no full-width collisions across 4096 sparse pages" n (Hashtbl.length full);
+  let distinct = Hashtbl.length trunc in
+  checkb
+    (Printf.sprintf "12-bit truncation shows birthday collisions (distinct=%d)" distinct)
+    true
+    (distinct > 2200 && distinct < 2950);
+  (* the digest is positional in both lanes: the same two words swapped
+     between two offsets must change each lane *)
+  let p1 = Bytes.make page_size '\000' and p2 = Bytes.make page_size '\000' in
+  Bytes.set_int64_le p1 16 0x1234L;
+  Bytes.set_int64_le p1 4096 0x5678L;
+  Bytes.set_int64_le p2 16 0x5678L;
+  Bytes.set_int64_le p2 4096 0x1234L;
+  let (a1, b1), (a2, b2) = (Fp128.digest p1, Fp128.digest p2) in
+  checkb "swapping two words changes lane a" true (a1 <> a2);
+  checkb "swapping two words changes lane b" true (b1 <> b2);
+  (* the top bit a lane sees, set in two words, must not cancel: an
+     unmixed term linear in the word would map it to
+     2^62 * (odd + odd) = 0 mod 2^63 *)
+  let top_bits w =
+    let p = Bytes.make page_size '\000' in
+    Bytes.set_int64_le p 16 w;
+    Bytes.set_int64_le p 4096 w;
+    Fp128.digest p
+  in
+  checkb "bit 62 in two words shows in lane a" true (fst (top_bits 0x4000_0000_0000_0000L) <> 0);
+  checkb "bit 63 in two words shows in lane b" true (snd (top_bits Int64.min_int) <> 0)
+
 (* ------------------------------------------------------------------ *)
 (* Ws_deque (Chase–Lev work-stealing deque) *)
 
@@ -495,6 +545,8 @@ let () =
           Alcotest.test_case "page digest" `Quick test_fp128_digest;
           Alcotest.test_case "truncated collision power" `Quick
             test_fp128_truncated_collision_power;
+          Alcotest.test_case "page digest collision power" `Quick
+            test_fp128_page_digest_collision_power;
         ] );
       ( "ws_deque",
         [
